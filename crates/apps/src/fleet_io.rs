@@ -12,23 +12,45 @@
 //! per-shard property exactly as before, just with shards partitioned
 //! across enclaves instead of merged into one.
 //!
+//! # One maintenance path, two placements
+//!
+//! Every piece of fleet upkeep — failover, rejoin, engine byte-work,
+//! incremental delta snapshots — is one protocol, and
+//! [`FleetConfig::maintenance`] decides only *where* its byte-work
+//! runs:
+//!
+//! - **background** (the plane is set): on the dedicated maintenance
+//!   core, driven by [`FleetKvs::maintenance_tick`] (the same shape as
+//!   the SUVM swapper's worker). Serving-core fences only publish
+//!   counters.
+//! - **inline** (no plane): on the serving thread of the replica whose
+//!   store is read or written — the victim or donor snapshots on its
+//!   own core, each receiver restores on its own core — and every
+//!   such cycle is charged to `maint_stall_cycles`. Engine upkeep runs
+//!   at each serving fence ([`Kvs::fence`]).
+//!
 //! # Failover (kill at a fence)
 //!
 //! Replica death is modeled at sub-batch fences — the only points
-//! where the pipeline holds no half-served requests. [`FleetKvs::kill`]
-//! runs the fence protocol:
+//! where the pipeline holds no half-served requests. [`FleetKvs::kill`]:
 //!
 //! 1. the victim flushes pending sends and (when SUVM-backed)
 //!    [`quiesces`](Suvm::quiesce) its secure memory — every reply it
 //!    ever reaped is on the wire, every dirty page sealed home;
-//! 2. it seals a portable [`Snapshot`] of its store under the
-//!    fleet-shared [`Sealer`] and stages it (preceded by its key
-//!    epoch) on the exit-less [`EnclaveChannel`] — ciphertext through
-//!    untrusted memory, no host round-trip;
+//! 2. it seals its *final delta* — every write at or above its delta
+//!    base — as a portable [`Snapshot`] under the fleet-shared
+//!    [`Sealer`] and streams it in bounded chunks
+//!    ([`EnclaveChannel::send_chunked`]) to **every** survivor:
+//!    ciphertext through untrusted memory, no host round-trip;
 //! 3. the enclave dies: the driver reclaims its EPC frames and sealed
 //!    swap;
-//! 4. the heir receives and restores the snapshot **before** its next
-//!    reap, then the router reassigns the victim's shards to it.
+//! 4. every survivor restores the delta **before** its next reap, then
+//!    the router reassigns the victim's shards to the heir.
+//!
+//! Without delta rounds every base stays 0, so an inline kill ships a
+//! full image. Broadcasting to all survivors, not just the heir, keeps
+//! the invariant that every serving store holds all streamed state,
+//! which is what lets any survivor donate or inherit at a later fence.
 //!
 //! Nothing is lost because host-side socket queues outlive the
 //! enclave: requests the victim never reaped are still queued, and
@@ -42,54 +64,45 @@
 //! [`FleetKvs::respawn`] brings a dead slot back as a **fresh**
 //! enclave (new sealing identity — which is why snapshots are sealed
 //! under the shared fleet key, not per-enclave identities). The
-//! current owner of the slot's original shards donates a snapshot
-//! over the channel; the cold replica restores it, is marked serving,
-//! and takes its original (round-robin) shard slice back at the
-//! fence. Donating from the owner — not an arbitrary survivor — is
-//! what makes arbitrary kill/respawn schedules safe: the owner's
-//! store is the one that has been serving those connections, so it
-//! supersets everything the rejoining replica must know.
+//! current owner of the slot's original shards streams a full image
+//! (delta from base 0); the cold replica restores it, is marked
+//! serving, and takes its original (round-robin) shard slice back.
+//! Donating from the owner — not an arbitrary survivor — is what makes
+//! arbitrary kill/respawn schedules safe: the owner's store is the one
+//! that has been serving those connections, so it supersets everything
+//! the rejoining replica must know.
 //!
 //! # Versioned merges
 //!
-//! Snapshots are whole-store images, so after a rejoin a donor still
-//! carries copies of keys it no longer serves; if that donor is later
-//! killed, its snapshot holds *stale* values for those keys. Every
-//! restore therefore merges last-writer-wins on a per-item write stamp
+//! After a rejoin a donor still carries copies of keys it no longer
+//! serves; if that donor is later killed, its snapshot holds *stale*
+//! values for those keys. Every restore therefore merges
+//! last-writer-wins on a per-item write stamp
 //! ([`Kvs::set_write_version`]): stores advance to stamp `epoch + 1`
 //! after every fence, a fence-`epoch` snapshot carries stamps at most
 //! `epoch`, and a re-imported stale copy can never clobber the value a
 //! fresher interval wrote (the kill A → respawn A → kill B schedule
-//! exercises exactly this).
+//! exercises exactly this). Delta epochs are checked monotone per
+//! *receiver* (a broadcast delivers one epoch to many stores).
 //!
 //! # Background maintenance plane
 //!
-//! The protocols above are fence-*synchronous*: a kill fence carries a
-//! whole-store snapshot plus a whole-store restore on serving cores,
-//! and engine maintenance (slab relocations, segment expiry/merges)
-//! runs inside serving-path fences. With
-//! [`FleetConfig::with_maintenance`] all of that byte-work moves onto
-//! a dedicated maintenance core (the same shape as the SUVM swapper's
-//! worker), driven by [`FleetKvs::maintenance_tick`]:
+//! With [`FleetConfig::with_maintenance`], [`FleetKvs::maintenance_tick`]
+//! adds what only a separate core can do:
 //!
-//! - **incremental delta snapshots** stream each replica's writes
-//!   since its last round to every serving peer in bounded chunks
-//!   ([`EnclaveChannel::send_chunked`], `MSG_DELTA_BEGIN`/
-//!   `MSG_DELTA_CHUNK`), so a later kill fence shrinks to a *final
-//!   delta* plus the shard reassignment and epoch flip;
-//! - **engine byte-work** runs via [`Kvs::maintenance_tick`] against
-//!   quiesced slabs; serving-core fences only publish counters
-//!   (`maint_stall_cycles` stays ≈ 0 on serving cores);
+//! - **incremental delta rounds** stream each replica's writes since
+//!   its last round to every serving peer, so a later kill carries
+//!   only the writes since that round;
 //! - a **failure detector** compares per-replica heartbeats (bumped
 //!   by every [`FleetKvs::pump_replica`]) across ticks and drives
-//!   kill/respawn itself instead of the load loop.
+//!   [`FleetKvs::kill`] itself, and queued rejoins
+//!   ([`FleetKvs::request_rejoin`]) run [`FleetKvs::respawn`].
 //!
-//! Delta epochs are checked monotone per *receiver* (a broadcast
-//! delivers one epoch to many stores); reply transparency versus the
-//! synchronous protocol is pinned by `tests/fleet_equivalence.rs`.
+//! Reply transparency across the two placements is pinned by
+//! `tests/fleet_equivalence.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eleos_core::{Snapshot, Suvm, SuvmConfig};
 use eleos_crypto::Sealer;
@@ -107,11 +120,6 @@ use crate::space::DataSpace;
 use crate::storage::EngineConfig;
 use crate::wire::Session;
 
-/// Channel message kind: a snapshot-epoch announcement (8 LE bytes),
-/// sent ahead of the snapshot it covers.
-pub const MSG_EPOCH: u8 = 1;
-/// Channel message kind: a serialized sealed [`Snapshot`].
-pub const MSG_SNAPSHOT: u8 = 2;
 /// Channel message kind: a wire-session key-epoch announcement (4 LE
 /// bytes) — the rekey initiator tells every peer which epoch now
 /// seals replies, so a fleet never serves half its shards under a key
@@ -124,16 +132,18 @@ pub const MSG_DELTA_BEGIN: u8 = 4;
 /// Channel message kind: one bounded chunk of a delta snapshot.
 pub const MSG_DELTA_CHUNK: u8 = 5;
 
+/// Delta-snapshot chunk size when no plane sets one (inline placement).
+const DEFAULT_CHUNK_BYTES: usize = 32 << 10;
+
 /// Tunables for the background maintenance plane (see the module
-/// docs). Enabling it ([`FleetConfig::with_maintenance`]) switches
-/// every replica's storage engine to background mode and moves
-/// snapshot streaming, engine byte-work, and failure handling onto
-/// [`FleetKvs::maintenance_tick`], driven from `core`.
+/// docs). Enabling it ([`FleetConfig::with_maintenance`]) places all
+/// maintenance byte-work on `core` and arms the failure detector and
+/// delta rounds of [`FleetKvs::maintenance_tick`].
 #[derive(Clone)]
 pub struct MaintenanceConfig {
     /// The core the maintenance plane runs on. Must not be a serving
-    /// core (the whole point is that its cycles never land on one) —
-    /// not enforced, but benches that share it see the stall return.
+    /// core ([`FleetKvs::new`] panics otherwise): its cycles would
+    /// land on a serving core without being counted as stall.
     pub core: usize,
     /// Consecutive heartbeat-less ticks before the failure detector
     /// declares a serving replica dead and fails it over.
@@ -148,14 +158,15 @@ impl Default for MaintenanceConfig {
         Self {
             core: 1,
             hb_miss_threshold: 3,
-            chunk_bytes: 32 << 10,
+            chunk_bytes: DEFAULT_CHUNK_BYTES,
         }
     }
 }
 
-/// Mutable maintenance-plane state, all behind one lock: the failure
+/// Mutable maintenance state, all behind one lock: the failure
 /// detector's bookkeeping, per-sender delta bases, per-receiver delta
-/// epochs, and the rejoin queue.
+/// epochs, and the rejoin queue. The delta bookkeeping exists with or
+/// without the plane; the detector and the queue only run in ticks.
 struct MaintState {
     /// Heartbeat value last observed per replica.
     last_hb: Vec<u64>,
@@ -176,29 +187,16 @@ struct MaintState {
     auto_recovery_cycles: u64,
 }
 
-/// The per-fleet maintenance plane: config, lock-free heartbeat
-/// counters (bumped by serving replicas on every pump), and the
-/// locked state.
-struct MaintPlane {
-    cfg: MaintenanceConfig,
-    hb: Vec<AtomicU64>,
-    state: Mutex<MaintState>,
-}
-
-impl MaintPlane {
-    fn new(cfg: MaintenanceConfig, replicas: usize) -> Self {
+impl MaintState {
+    fn new(replicas: usize) -> Self {
         Self {
-            cfg,
-            hb: (0..replicas).map(|_| AtomicU64::new(0)).collect(),
-            state: Mutex::new(MaintState {
-                last_hb: vec![0; replicas],
-                misses: vec![0; replicas],
-                delta_base: vec![0; replicas],
-                last_delta_epoch: vec![0; replicas],
-                rejoin: Vec::new(),
-                auto_failover_cycles: 0,
-                auto_recovery_cycles: 0,
-            }),
+            last_hb: vec![0; replicas],
+            misses: vec![0; replicas],
+            delta_base: vec![0; replicas],
+            last_delta_epoch: vec![0; replicas],
+            rejoin: Vec::new(),
+            auto_failover_cycles: 0,
+            auto_recovery_cycles: 0,
         }
     }
 }
@@ -210,8 +208,8 @@ pub struct FleetConfig {
     pub replicas: usize,
     /// Linear EPC bytes per replica enclave.
     pub linear_bytes: usize,
-    /// Cross-enclave channel ring capacity (must hold the largest
-    /// snapshot plus its epoch message).
+    /// Cross-enclave channel ring capacity (must hold one full-image
+    /// delta per survivor of a kill).
     pub channel_cap: usize,
     /// Per-replica KVS value-pool limit.
     pub mem_limit: u64,
@@ -233,10 +231,9 @@ pub struct FleetConfig {
     /// is engine-neutral, so a fleet could even mix engines across
     /// replicas — this knob keeps them uniform).
     pub engine: EngineConfig,
-    /// When set, the fleet runs the background maintenance plane:
-    /// engines switch to background mode, delta snapshots stream
-    /// between fences, and kill/respawn run off the serving path (see
-    /// the module docs). `None` keeps the fence-synchronous protocol.
+    /// Where maintenance byte-work runs: on the background plane's
+    /// core when set, inline on the serving cores when `None` (see
+    /// the module docs).
     pub maintenance: Option<MaintenanceConfig>,
 }
 
@@ -286,10 +283,11 @@ pub struct FailoverReport {
     pub heir: usize,
     /// Shards reassigned at the fence.
     pub shards_moved: usize,
-    /// Serialized snapshot size carried over the channel.
+    /// Serialized final-delta size carried over the channel (once per
+    /// survivor).
     pub snapshot_bytes: usize,
-    /// Serving-core cycles from fence entry to the heir owning the
-    /// shards with the restore complete.
+    /// Cycles the victim's snapshot and the survivors' restores took,
+    /// on whichever cores they were placed.
     pub cycles: u64,
 }
 
@@ -302,7 +300,8 @@ pub struct RejoinReport {
     pub shards_taken: usize,
     /// Serialized snapshot size carried over the channel.
     pub snapshot_bytes: usize,
-    /// Serving-core cycles from fence entry to the replica serving.
+    /// Cycles the donor's snapshot and the rejoiner's restore took, on
+    /// whichever cores they were placed.
     pub cycles: u64,
 }
 
@@ -329,13 +328,13 @@ pub struct FleetKvs {
     fds: Vec<Fd>,
     /// One slot per replica index; `None` while Cold/Dead.
     slots: Vec<Mutex<Option<Replica>>>,
-    /// Snapshot epoch: bumped at every snapshot fence, announced
-    /// replica→replica over the channel ahead of the snapshot.
+    /// Snapshot epoch: bumped by every kill, respawn and delta send,
+    /// carried in each delta's BEGIN header.
     epoch: AtomicU64,
-    /// Highest epoch any receiver has accepted (monotonicity check).
-    seen_epoch: AtomicU64,
-    /// The background maintenance plane, when configured.
-    maint: Option<MaintPlane>,
+    /// Per-replica heartbeats, bumped lock-free by every pump and read
+    /// by the plane's failure detector.
+    hb: Vec<AtomicU64>,
+    maint: Mutex<MaintState>,
 }
 
 impl FleetKvs {
@@ -347,7 +346,8 @@ impl FleetKvs {
     ///
     /// # Panics
     /// Panics when `cfg.replicas` is zero, exceeds the per-replica
-    /// stat gauges, or the config/socket-set combination violates the
+    /// stat gauges, the maintenance core is one of `cfg.cores`, or the
+    /// config/socket-set combination violates the
     /// [`ServerIoConfig::build`] invariants.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
@@ -362,28 +362,31 @@ impl FleetKvs {
         mut seed: impl FnMut(&mut ThreadCtx, &mut Kvs),
     ) -> Self {
         assert!(cfg.replicas > 0, "a fleet needs at least one replica");
+        if let Some(m) = &cfg.maintenance {
+            assert!(
+                !cfg.cores.contains(&m.core),
+                "maintenance core {} is a serving core",
+                m.core
+            );
+        }
         let fleet = Fleet::new(machine, cfg.replicas, cfg.linear_bytes);
         let map = ShardMap::with_replicas(fds.len(), cfg.replicas);
         let chan = EnclaveChannel::new(machine, cfg.channel_cap);
-        let maint = cfg
-            .maintenance
-            .clone()
-            .map(|m| MaintPlane::new(m, cfg.replicas));
         let this = Self {
             machine: Arc::clone(machine),
             fleet,
             map,
             chan,
             sealer,
-            cfg,
             io_cfg,
             path,
             session,
             fds: fds.to_vec(),
             slots: Vec::new(),
             epoch: AtomicU64::new(0),
-            seen_epoch: AtomicU64::new(0),
-            maint,
+            hb: (0..cfg.replicas).map(|_| AtomicU64::new(0)).collect(),
+            maint: Mutex::new(MaintState::new(cfg.replicas)),
+            cfg,
         };
         let mut slots = Vec::with_capacity(this.cfg.replicas);
         for r in 0..this.cfg.replicas {
@@ -427,9 +430,7 @@ impl FleetKvs {
             self.cfg.buckets,
             &self.cfg.engine,
         );
-        if self.maint.is_some() {
-            kvs.set_background(true);
-        }
+        kvs.set_background(self.cfg.maintenance.is_some());
         kvs.init(&mut ctx);
         let mut cfg = self.io_cfg.clone().replica(r);
         if cfg.balance.is_some() {
@@ -533,9 +534,7 @@ impl FleetKvs {
         // A pumped replica is a live replica: the heartbeat feeds the
         // background failure detector (a mute replica stops bumping
         // and gets failed over after `hb_miss_threshold` ticks).
-        if let Some(mp) = &self.maint {
-            mp.hb[r].fetch_add(1, Ordering::Relaxed);
-        }
+        self.hb[r].fetch_add(1, Ordering::Relaxed);
         let owned = self.map.shards_of(r);
         if owned.is_empty() {
             return 0;
@@ -556,73 +555,186 @@ impl FleetKvs {
         }
     }
 
-    /// Kills `victim` at a fence: snapshot out over the channel, EPC
-    /// reclaimed, shards drained to the heir (see the module docs for
-    /// the protocol and why no reply is lost). With the maintenance
-    /// plane configured, the byte-work (final delta + restores) runs
-    /// on the maintenance core instead of the serving cores.
+    /// The maintenance state, locked.
+    fn state(&self) -> MutexGuard<'_, MaintState> {
+        self.maint.lock().expect("maintenance state poisoned")
+    }
+
+    /// Runs `work` against replica `r`'s store on the configured
+    /// placement: `rep.ctx` is swapped for an entered thread on the
+    /// maintenance core when the plane is set, and is the replica's own
+    /// serving thread otherwise. Returns the result and the cycles the
+    /// work took on that core; inline cycles also count as
+    /// serving-path stall when `stalls` is set.
+    fn placed<T>(
+        &self,
+        r: usize,
+        rep: &mut Replica,
+        stalls: bool,
+        work: impl FnOnce(&mut Replica) -> T,
+    ) -> (T, u64) {
+        let Some(m) = &self.cfg.maintenance else {
+            let t0 = rep.ctx.now();
+            let out = work(rep);
+            let dt = rep.ctx.now() - t0;
+            if stalls {
+                Stats::add(&self.machine.stats.maint_stall_cycles, dt);
+            }
+            return (out, dt);
+        };
+        let t0 = self.machine.core(m.core).clock.now();
+        let mut mctx = ThreadCtx::for_enclave(&self.machine, &self.fleet.enclave(r), m.core);
+        mctx.enter();
+        let serving = std::mem::replace(&mut rep.ctx, mctx);
+        let out = work(rep);
+        std::mem::replace(&mut rep.ctx, serving).exit();
+        (out, self.machine.core(m.core).clock.now() - t0)
+    }
+
+    /// Seals sender `r`'s writes at stamp `>= base` as a delta and
+    /// stages it on the channel once per receiver, in bounded chunks.
+    /// Runs on whatever thread `rep.ctx` is. Returns the serialized
+    /// delta size.
+    fn stage_delta(
+        &self,
+        r: usize,
+        rep: &mut Replica,
+        epoch: u64,
+        base: u64,
+        receivers: usize,
+    ) -> usize {
+        let enclave_id = self.fleet.enclave(r).id;
+        let snap =
+            rep.kvs
+                .snapshot_since(&mut rep.ctx, self.sealer.as_ref(), enclave_id, epoch, base);
+        let bytes = snap.to_bytes();
+        let chunk = self
+            .cfg
+            .maintenance
+            .as_ref()
+            .map_or(DEFAULT_CHUNK_BYTES, |m| m.chunk_bytes);
+        for _ in 0..receivers {
+            self.chan.send_chunked(
+                &mut rep.ctx,
+                MSG_DELTA_BEGIN,
+                MSG_DELTA_CHUNK,
+                &epoch.to_le_bytes(),
+                &bytes,
+                chunk,
+            );
+        }
+        bytes.len()
+    }
+
+    /// Fence-time sender: flush pending sends and quiesce SUVM so every
+    /// reply is on the wire and every dirty page sealed home, then
+    /// stage the delta.
+    fn stage_fence_delta(
+        &self,
+        r: usize,
+        rep: &mut Replica,
+        epoch: u64,
+        base: u64,
+        receivers: usize,
+    ) -> usize {
+        rep.io.flush(&mut rep.ctx);
+        if let Some(suvm) = &rep.suvm {
+            suvm.quiesce(&mut rep.ctx);
+        }
+        self.stage_delta(r, rep, epoch, base, receivers)
+    }
+
+    /// Receives one chunked delta off the channel into replica `q`'s
+    /// store (on `q`'s placement), checking its epoch is monotone for
+    /// this receiver. Returns the cycles it took.
+    fn receive_delta(&self, q: usize, rep: &mut Replica, stalls: bool) -> u64 {
+        let ((), dt) = self.placed(q, rep, stalls, |rep| {
+            let (header, payload) = self
+                .chan
+                .recv_chunked(&mut rep.ctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)
+                .expect("delta protocol: chunks staged");
+            let epoch = u64::from_le_bytes(header.try_into().expect("8-byte epoch"));
+            {
+                let mut st = self.state();
+                assert!(
+                    epoch > st.last_delta_epoch[q],
+                    "delta epoch went backwards on replica {q}"
+                );
+                st.last_delta_epoch[q] = epoch;
+            }
+            let snap = Snapshot::from_bytes(&payload);
+            assert_eq!(snap.epoch(), epoch, "delta snapshot epoch mismatch");
+            rep.kvs.restore(&mut rep.ctx, self.sealer.as_ref(), &snap);
+        });
+        dt
+    }
+
+    /// [`Self::receive_delta`] into serving replica `q`'s slot.
+    fn receive_delta_at(&self, q: usize, stalls: bool) -> u64 {
+        let mut slot = self.slots[q].lock().expect("fleet slot poisoned");
+        let rep = slot.as_mut().expect("serving replica must be wired");
+        self.receive_delta(q, rep, stalls)
+    }
+
+    /// Kills `victim` at a fence (see the module docs): its final
+    /// delta streams to every survivor, its EPC is reclaimed, and its
+    /// shards drain to the heir. The byte-work runs on the configured
+    /// placement.
     ///
     /// # Panics
     /// Panics when `victim` is not serving or no other replica is.
     pub fn kill(&self, victim: usize) -> FailoverReport {
-        if self.maint.is_some() {
-            return self.kill_background(victim);
-        }
         let serving = self.fleet.serving();
         assert!(
             serving.contains(&victim),
             "kill target {victim} is not serving"
         );
-        let heir = *serving
-            .iter()
-            .find(|&&r| r != victim)
+        let survivors: Vec<usize> = serving.iter().copied().filter(|&r| r != victim).collect();
+        let heir = *survivors
+            .first()
             .expect("failover needs a surviving replica");
-        let (snapshot_bytes, snap_cycles) = self.snapshot_over_channel(victim);
-        {
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let base = self.state().delta_base[victim];
+        let (snapshot_bytes, mut cycles) = {
             let mut slot = self.slots[victim].lock().expect("fleet slot poisoned");
             let mut rep = slot.take().expect("serving replica must be wired");
+            let out = self.placed(victim, &mut rep, true, |rep| {
+                self.stage_fence_delta(victim, rep, epoch, base, survivors.len())
+            });
             rep.ctx.exit();
-        }
+            out
+        };
         self.fleet.kill(victim);
         Stats::bump(&self.machine.stats.fleet_failovers);
-        // The heir restores before its next reap of the acquired
+        Stats::bump(&self.machine.stats.fleet_snapshots);
+        // Every survivor restores before its next reap of the acquired
         // shards — the restore-then-own ordering is the failover
         // correctness invariant.
-        let restore_cycles = self.restore_from_channel(heir);
+        for &q in &survivors {
+            cycles += self.receive_delta_at(q, true);
+            Stats::bump(&self.machine.stats.fleet_restores);
+        }
         let moved = self.map.shards_of(victim);
         for &s in &moved {
             self.map.reassign(s, heir);
         }
         self.advance_write_versions();
-        // The whole fence ran on serving cores: the victim's snapshot
-        // and the heir's restore both stall the serving path.
-        Stats::add(
-            &self.machine.stats.maint_stall_cycles,
-            snap_cycles + restore_cycles,
-        );
         FailoverReport {
             heir,
             shards_moved: moved.len(),
             snapshot_bytes,
-            cycles: snap_cycles + restore_cycles,
+            cycles,
         }
     }
 
     /// Respawns dead slot `idx` as a fresh enclave that restores the
-    /// shard-owner's donated snapshot and takes its original shard
-    /// slice back (see the module docs).
+    /// shard owner's full image and takes its original shard slice
+    /// back (see the module docs). The byte-work runs on the
+    /// configured placement.
     ///
     /// # Panics
     /// Panics when `idx` is not dead or no donor is serving.
     pub fn respawn(&self, idx: usize) -> RejoinReport {
-        if self.maint.is_some() {
-            return self.respawn_background(idx);
-        }
-        // The donor must be the current owner of the slot's original
-        // shards: its store is the one serving those connections, so
-        // it supersets everything the rejoining replica needs. (All
-        // shards of one residue class always move together, so one
-        // probe suffices; an empty class falls back to any server.)
         let donor = self.rejoin_donor(idx);
         assert_eq!(
             self.fleet.state(donor),
@@ -630,11 +742,22 @@ impl FleetKvs {
             "rejoin donor {donor} must be serving"
         );
         self.fleet.respawn(idx);
-        let (snapshot_bytes, snap_cycles) = self.snapshot_over_channel(donor);
-        let t0 = self.machine.core(self.core_of(idx)).clock.now();
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        // Full image (base 0): the donor holds all streamed state plus
+        // its own unstreamed writes, so the rejoiner comes back fully
+        // caught up.
+        let (snapshot_bytes, donor_cycles) = {
+            let mut slot = self.slots[donor].lock().expect("fleet slot poisoned");
+            let rep = slot.as_mut().expect("serving replica must be wired");
+            self.placed(donor, rep, true, |rep| {
+                self.stage_fence_delta(donor, rep, epoch, 0, 1)
+            })
+        };
+        Stats::bump(&self.machine.stats.fleet_snapshots);
         let mut rep = self.wire_replica(idx);
-        self.recv_restore(&mut rep);
-        let wire_cycles = rep.ctx.now() - t0;
+        // The rejoiner is not serving yet: its restore stalls nobody.
+        let restore_cycles = self.receive_delta(idx, &mut rep, false);
+        Stats::bump(&self.machine.stats.fleet_restores);
         *self.slots[idx].lock().expect("fleet slot poisoned") = Some(rep);
         self.fleet.mark_serving(idx);
         let mut taken = 0;
@@ -645,74 +768,24 @@ impl FleetKvs {
             }
         }
         self.advance_write_versions();
-        // The donor snapshot ran on the donor's serving core.
-        Stats::add(&self.machine.stats.maint_stall_cycles, snap_cycles);
+        {
+            let mut st = self.state();
+            // With delta rounds the donor keeps streaming its own
+            // unstreamed interval, so the rejoiner's base starts at the
+            // fresh write interval. Without them nothing is ever
+            // streamed: every base stays 0 and kills ship full images.
+            if self.cfg.maintenance.is_some() {
+                st.delta_base[idx] = self.epoch() + 1;
+            }
+            st.misses[idx] = 0;
+            st.last_hb[idx] = self.hb[idx].load(Ordering::Relaxed);
+        }
         RejoinReport {
             donor,
             shards_taken: taken,
             snapshot_bytes,
-            cycles: snap_cycles + wire_cycles,
+            cycles: donor_cycles + restore_cycles,
         }
-    }
-
-    /// Fence protocol, sender half: flush, quiesce, seal, stage the
-    /// epoch announcement and snapshot on the channel. Returns the
-    /// serialized snapshot size and the cycles the sender's core
-    /// spent.
-    fn snapshot_over_channel(&self, r: usize) -> (usize, u64) {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let enclave_id = self.fleet.enclave(r).id;
-        let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let t0 = rep.ctx.now();
-        rep.io.flush(&mut rep.ctx);
-        if let Some(suvm) = &rep.suvm {
-            suvm.quiesce(&mut rep.ctx);
-        }
-        let snap = rep
-            .kvs
-            .snapshot(&mut rep.ctx, self.sealer.as_ref(), enclave_id, epoch);
-        let bytes = snap.to_bytes();
-        self.chan
-            .send(&mut rep.ctx, MSG_EPOCH, &epoch.to_le_bytes());
-        self.chan.send(&mut rep.ctx, MSG_SNAPSHOT, &bytes);
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        (bytes.len(), rep.ctx.now() - t0)
-    }
-
-    /// Fence protocol, receiver half for an already-wired replica.
-    /// Returns the cycles the receiver's core spent.
-    fn restore_from_channel(&self, r: usize) -> u64 {
-        let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let t0 = rep.ctx.now();
-        self.recv_restore(rep);
-        rep.ctx.now() - t0
-    }
-
-    /// Reaps the epoch announcement + snapshot pair off the channel
-    /// and restores it into `rep`'s store.
-    fn recv_restore(&self, rep: &mut Replica) {
-        let (kind, eb) = self
-            .chan
-            .recv(&mut rep.ctx)
-            .expect("fence protocol: epoch message staged");
-        assert_eq!(kind, MSG_EPOCH, "fence protocol: epoch precedes snapshot");
-        let epoch = u64::from_le_bytes(eb.try_into().expect("8-byte epoch"));
-        let last = self.seen_epoch.swap(epoch, Ordering::Relaxed);
-        assert!(
-            epoch > last,
-            "session-key epoch went backwards: {epoch} after {last}"
-        );
-        let (kind, bytes) = self
-            .chan
-            .recv(&mut rep.ctx)
-            .expect("fence protocol: snapshot staged");
-        assert_eq!(kind, MSG_SNAPSHOT);
-        let snap = Snapshot::from_bytes(&bytes);
-        assert_eq!(snap.epoch(), epoch, "snapshot epoch mismatch");
-        rep.kvs.restore(&mut rep.ctx, self.sealer.as_ref(), &snap);
-        Stats::bump(&self.machine.stats.fleet_restores);
     }
 
     /// Moves every live replica's store into the post-fence write
@@ -757,107 +830,67 @@ impl FleetKvs {
         target
     }
 
-    /// Whether the background maintenance plane is configured.
-    #[must_use]
-    pub fn has_maintenance(&self) -> bool {
-        self.maint.is_some()
-    }
-
     /// Maintenance-core cycles spent on detector-driven failovers so
     /// far (0 without the plane).
     #[must_use]
     pub fn auto_failover_cycles(&self) -> u64 {
-        self.maint.as_ref().map_or(0, |mp| {
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .auto_failover_cycles
-        })
+        self.state().auto_failover_cycles
     }
 
     /// Maintenance-core cycles spent on queued rejoins so far (0
     /// without the plane).
     #[must_use]
     pub fn auto_recovery_cycles(&self) -> u64 {
-        self.maint.as_ref().map_or(0, |mp| {
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .auto_recovery_cycles
-        })
+        self.state().auto_recovery_cycles
     }
 
-    /// Queues dead slot `idx` for background respawn at the next
-    /// maintenance tick (the off-path analogue of calling
-    /// [`Self::respawn`] at a fence).
+    /// Queues dead slot `idx` for respawn at the next maintenance tick
+    /// (the plane-driven way to call [`Self::respawn`]).
     ///
     /// # Panics
     /// Panics without the maintenance plane.
     pub fn request_rejoin(&self, idx: usize) {
-        let mp = self
-            .maint
-            .as_ref()
-            .expect("rejoin queue needs the maintenance plane");
-        mp.state
-            .lock()
-            .expect("maintenance state poisoned")
-            .rejoin
-            .push(idx);
-    }
-
-    /// An entered thread on the maintenance core for replica `r`'s
-    /// enclave — the same shape as the SUVM swapper's worker thread.
-    /// Callers `exit()` it when done.
-    fn maint_ctx(&self, r: usize) -> ThreadCtx {
-        let core = self
-            .maint
-            .as_ref()
-            .expect("maintenance plane configured")
-            .cfg
-            .core;
-        let enclave = self.fleet.enclave(r);
-        let mut ctx = ThreadCtx::for_enclave(&self.machine, &enclave, core);
-        ctx.enter();
-        ctx
+        assert!(
+            self.cfg.maintenance.is_some(),
+            "rejoin queue needs the maintenance plane"
+        );
+        self.state().rejoin.push(idx);
     }
 
     /// One pass of the background maintenance plane, run on the
-    /// maintenance core (directly by deterministic tests/benches, or
-    /// from a [`MaintenanceCtx`](crate::maintenance::MaintenanceCtx)
-    /// worker thread):
+    /// maintenance core (called directly by deterministic tests and
+    /// benches — the tick is the unit of determinism):
     ///
     /// 1. the failure detector compares heartbeats against the last
-    ///    tick and fails over replicas that missed
-    ///    `hb_miss_threshold` consecutive ticks;
+    ///    tick and kills replicas that missed `hb_miss_threshold`
+    ///    consecutive ticks;
     /// 2. queued rejoins ([`Self::request_rejoin`]) respawn;
-    /// 3. every serving replica's engine runs its background
-    ///    byte-work ([`Kvs::maintenance_tick`]: slab relocations,
-    ///    segment expiry/merges) against the maintenance core;
+    /// 3. every serving replica's engine runs its byte-work
+    ///    ([`Kvs::maintenance_tick`]: slab relocations, segment
+    ///    expiry/merges);
     /// 4. a delta round streams each replica's writes since its last
     ///    delta to every serving peer in bounded chunks, then opens
     ///    the next write interval.
     ///
     /// Returns whether any work ran. A no-op without the plane.
     pub fn maintenance_tick(&self) -> bool {
-        let Some(mp) = &self.maint else {
+        let Some(m) = &self.cfg.maintenance else {
             return false;
         };
+        let clock = &self.machine.core(m.core).clock;
         let mut did = false;
         // 1. Failure detector: heartbeat progress since the last tick.
         // The scan itself costs maintenance-core cycles.
         let mut victims = Vec::new();
         {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
+            let mut st = self.state();
             for r in self.fleet.serving() {
-                self.machine
-                    .core(mp.cfg.core)
-                    .clock
-                    .advance(self.machine.cfg.costs.maint_heartbeat);
-                let cur = mp.hb[r].load(Ordering::Relaxed);
+                clock.advance(self.machine.cfg.costs.maint_heartbeat);
+                let cur = self.hb[r].load(Ordering::Relaxed);
                 if cur == st.last_hb[r] {
                     st.misses[r] += 1;
                     Stats::bump(&self.machine.stats.hb_misses);
-                    if st.misses[r] >= mp.cfg.hb_miss_threshold {
+                    if st.misses[r] >= m.hb_miss_threshold {
                         victims.push(r);
                     }
                 } else {
@@ -870,41 +903,33 @@ impl FleetKvs {
             if self.fleet.serving().len() < 2 || self.fleet.state(v) != ReplicaState::Serving {
                 continue;
             }
-            let t0 = self.machine.core(mp.cfg.core).clock.now();
-            self.kill_background(v);
-            let dt = self.machine.core(mp.cfg.core).clock.now() - t0;
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
+            let t0 = clock.now();
+            self.kill(v);
+            let dt = clock.now() - t0;
+            let mut st = self.state();
             st.misses[v] = 0;
             st.auto_failover_cycles += dt;
             did = true;
         }
         // 2. Queued rejoins.
-        let pending: Vec<usize> = {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            std::mem::take(&mut st.rejoin)
-        };
+        let pending = std::mem::take(&mut self.state().rejoin);
         for idx in pending {
             if self.fleet.state(idx) != ReplicaState::Dead {
                 continue;
             }
-            let t0 = self.machine.core(mp.cfg.core).clock.now();
-            self.respawn_background(idx);
-            let dt = self.machine.core(mp.cfg.core).clock.now() - t0;
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            st.auto_recovery_cycles += dt;
+            let t0 = clock.now();
+            self.respawn(idx);
+            self.state().auto_recovery_cycles += clock.now() - t0;
             did = true;
         }
-        // 3. Engine byte-work, off-core against quiesced slabs: the
-        // serving-core fences only published counters; the copies and
-        // merges happen here.
+        // 3. Engine byte-work, off-core: the serving-core fences only
+        // published counters; the copies and merges happen here.
         for r in self.fleet.serving() {
             let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
             let Some(rep) = slot.as_mut() else { continue };
-            let mut mctx = self.maint_ctx(r);
-            if rep.kvs.maintenance_tick(&mut mctx) {
-                did = true;
-            }
-            mctx.exit();
+            let (work, _) =
+                self.placed(r, rep, false, |rep| rep.kvs.maintenance_tick(&mut rep.ctx));
+            did |= work;
         }
         // 4. Delta round.
         did |= self.delta_round();
@@ -913,12 +938,9 @@ impl FleetKvs {
 
     /// Streams one incremental snapshot per serving replica to every
     /// serving peer, in bounded chunks over the channel. Each round
-    /// shrinks what a later kill fence must carry to the writes since
-    /// this round — the fence's final delta plus the epoch flip.
+    /// shrinks what a later kill must carry to the writes since this
+    /// round.
     fn delta_round(&self) -> bool {
-        let Some(mp) = &self.maint else {
-            return false;
-        };
         let serving = self.fleet.serving();
         if serving.len() < 2 {
             return false;
@@ -926,238 +948,25 @@ impl FleetKvs {
         for &r in &serving {
             let peers: Vec<usize> = serving.iter().copied().filter(|&q| q != r).collect();
             let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            let base = mp
-                .state
-                .lock()
-                .expect("maintenance state poisoned")
-                .delta_base[r];
-            let enclave_id = self.fleet.enclave(r).id;
+            let base = self.state().delta_base[r];
             {
                 let mut slot = self.slots[r].lock().expect("fleet slot poisoned");
                 let rep = slot.as_mut().expect("serving replica must be wired");
-                let mut mctx = self.maint_ctx(r);
-                let snap = rep.kvs.snapshot_since(
-                    &mut mctx,
-                    self.sealer.as_ref(),
-                    enclave_id,
-                    epoch,
-                    base,
-                );
-                let bytes = snap.to_bytes();
-                for _ in &peers {
-                    self.chan.send_chunked(
-                        &mut mctx,
-                        MSG_DELTA_BEGIN,
-                        MSG_DELTA_CHUNK,
-                        &epoch.to_le_bytes(),
-                        &bytes,
-                        mp.cfg.chunk_bytes,
-                    );
-                }
-                mctx.exit();
+                self.placed(r, rep, false, |rep| {
+                    self.stage_delta(r, rep, epoch, base, peers.len())
+                });
             }
             for &q in &peers {
-                self.apply_delta(q);
+                self.receive_delta_at(q, false);
             }
             // Open the next write interval: post-round writes carry
             // strictly larger stamps than anything just streamed, so
             // a rewrite of a streamed key is never mistaken for the
             // streamed copy.
             self.advance_write_versions();
-            let interval = self.epoch() + 1;
-            mp.state
-                .lock()
-                .expect("maintenance state poisoned")
-                .delta_base[r] = interval;
+            self.state().delta_base[r] = self.epoch() + 1;
         }
         true
-    }
-
-    /// Receives one chunked delta off the channel into serving
-    /// replica `q`'s store, on the maintenance core.
-    fn apply_delta(&self, q: usize) {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let mut slot = self.slots[q].lock().expect("fleet slot poisoned");
-        let rep = slot.as_mut().expect("serving replica must be wired");
-        let mut mctx = self.maint_ctx(q);
-        let (header, payload) = self
-            .chan
-            .recv_chunked(&mut mctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)
-            .expect("delta protocol: chunks staged");
-        let epoch = u64::from_le_bytes(header.try_into().expect("8-byte epoch"));
-        {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            assert!(
-                epoch > st.last_delta_epoch[q],
-                "delta epoch went backwards on replica {q}"
-            );
-            st.last_delta_epoch[q] = epoch;
-        }
-        let snap = Snapshot::from_bytes(&payload);
-        assert_eq!(snap.epoch(), epoch, "delta snapshot epoch mismatch");
-        rep.kvs.restore(&mut mctx, self.sealer.as_ref(), &snap);
-        mctx.exit();
-    }
-
-    /// Background failover: the serving-path fence shrinks to the
-    /// shard reassignment and epoch flip — the victim's *final delta*
-    /// (only what the delta rounds have not yet streamed) and every
-    /// survivor's restore run on the maintenance core. The delta is
-    /// broadcast to **all** survivors, not just the heir, preserving
-    /// the invariant that every serving store holds all streamed
-    /// state (which is what lets any survivor donate or inherit in a
-    /// later fence).
-    fn kill_background(&self, victim: usize) -> FailoverReport {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let serving = self.fleet.serving();
-        assert!(
-            serving.contains(&victim),
-            "kill target {victim} is not serving"
-        );
-        let heir = *serving
-            .iter()
-            .find(|&&r| r != victim)
-            .expect("failover needs a surviving replica");
-        let survivors: Vec<usize> = serving.iter().copied().filter(|&r| r != victim).collect();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let base = mp
-            .state
-            .lock()
-            .expect("maintenance state poisoned")
-            .delta_base[victim];
-        let enclave_id = self.fleet.enclave(victim).id;
-        let t0 = self.machine.core(mp.cfg.core).clock.now();
-        let snapshot_bytes;
-        {
-            let mut slot = self.slots[victim].lock().expect("fleet slot poisoned");
-            let mut rep = slot.take().expect("serving replica must be wired");
-            let mut mctx = self.maint_ctx(victim);
-            rep.io.flush(&mut mctx);
-            if let Some(suvm) = &rep.suvm {
-                suvm.quiesce(&mut mctx);
-            }
-            let snap =
-                rep.kvs
-                    .snapshot_since(&mut mctx, self.sealer.as_ref(), enclave_id, epoch, base);
-            let bytes = snap.to_bytes();
-            snapshot_bytes = bytes.len();
-            for _ in &survivors {
-                self.chan.send_chunked(
-                    &mut mctx,
-                    MSG_DELTA_BEGIN,
-                    MSG_DELTA_CHUNK,
-                    &epoch.to_le_bytes(),
-                    &bytes,
-                    mp.cfg.chunk_bytes,
-                );
-            }
-            mctx.exit();
-            rep.ctx.exit();
-        }
-        self.fleet.kill(victim);
-        Stats::bump(&self.machine.stats.fleet_failovers);
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        for &q in &survivors {
-            self.apply_delta(q);
-            Stats::bump(&self.machine.stats.fleet_restores);
-        }
-        let moved = self.map.shards_of(victim);
-        for &s in &moved {
-            self.map.reassign(s, heir);
-        }
-        self.advance_write_versions();
-        FailoverReport {
-            heir,
-            shards_moved: moved.len(),
-            snapshot_bytes,
-            cycles: self.machine.core(mp.cfg.core).clock.now() - t0,
-        }
-    }
-
-    /// Background rejoin: the donor's full snapshot streams in chunks
-    /// on the maintenance core; the rejoined replica's delta state is
-    /// reset so the plane treats it as fully caught up.
-    fn respawn_background(&self, idx: usize) -> RejoinReport {
-        let mp = self.maint.as_ref().expect("maintenance plane configured");
-        let donor = self.rejoin_donor(idx);
-        assert_eq!(
-            self.fleet.state(donor),
-            ReplicaState::Serving,
-            "rejoin donor {donor} must be serving"
-        );
-        self.fleet.respawn(idx);
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let enclave_id = self.fleet.enclave(donor).id;
-        let t0 = self.machine.core(mp.cfg.core).clock.now();
-        let snapshot_bytes;
-        {
-            let mut slot = self.slots[donor].lock().expect("fleet slot poisoned");
-            let rep = slot.as_mut().expect("serving replica must be wired");
-            let mut mctx = self.maint_ctx(donor);
-            rep.io.flush(&mut mctx);
-            if let Some(suvm) = &rep.suvm {
-                suvm.quiesce(&mut mctx);
-            }
-            // Full image (base 0): the donor holds all streamed state
-            // plus its own unstreamed writes, so the rejoiner comes
-            // back fully caught up.
-            let snap =
-                rep.kvs
-                    .snapshot_since(&mut mctx, self.sealer.as_ref(), enclave_id, epoch, 0);
-            let bytes = snap.to_bytes();
-            snapshot_bytes = bytes.len();
-            self.chan.send_chunked(
-                &mut mctx,
-                MSG_DELTA_BEGIN,
-                MSG_DELTA_CHUNK,
-                &epoch.to_le_bytes(),
-                &bytes,
-                mp.cfg.chunk_bytes,
-            );
-            mctx.exit();
-        }
-        Stats::bump(&self.machine.stats.fleet_snapshots);
-        let mut rep = self.wire_replica(idx);
-        {
-            let mut mctx = self.maint_ctx(idx);
-            let (header, payload) = self
-                .chan
-                .recv_chunked(&mut mctx, MSG_DELTA_BEGIN, MSG_DELTA_CHUNK)
-                .expect("rejoin protocol: chunks staged");
-            let got = u64::from_le_bytes(header.try_into().expect("8-byte epoch"));
-            assert_eq!(got, epoch, "rejoin snapshot epoch mismatch");
-            let snap = Snapshot::from_bytes(&payload);
-            assert_eq!(snap.epoch(), epoch, "rejoin snapshot epoch mismatch");
-            rep.kvs.restore(&mut mctx, self.sealer.as_ref(), &snap);
-            mctx.exit();
-        }
-        Stats::bump(&self.machine.stats.fleet_restores);
-        *self.slots[idx].lock().expect("fleet slot poisoned") = Some(rep);
-        self.fleet.mark_serving(idx);
-        let mut taken = 0;
-        for s in 0..self.fds.len() {
-            if s % self.cfg.replicas == idx {
-                self.map.reassign(s, idx);
-                taken += 1;
-            }
-        }
-        self.advance_write_versions();
-        {
-            let mut st = mp.state.lock().expect("maintenance state poisoned");
-            // Caught up through `epoch`; the donor keeps streaming its
-            // own unstreamed interval, so the rejoiner's base starts
-            // at the fresh write interval.
-            st.delta_base[idx] = self.epoch() + 1;
-            st.last_delta_epoch[idx] = epoch;
-            st.misses[idx] = 0;
-            st.last_hb[idx] = mp.hb[idx].load(Ordering::Relaxed);
-        }
-        RejoinReport {
-            donor,
-            shards_taken: taken,
-            snapshot_bytes,
-            cycles: self.machine.core(mp.cfg.core).clock.now() - t0,
-        }
     }
 
     /// The current owner of dead slot `idx`'s original shard slice
@@ -1185,6 +994,20 @@ mod tests {
     const SHARDS: usize = 4;
 
     fn fleet(replicas: usize) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
+        fleet_with(FleetConfig::small(replicas))
+    }
+
+    fn fleet_bg(replicas: usize) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
+        fleet_with(
+            FleetConfig::small(replicas).with_maintenance(MaintenanceConfig {
+                core: 1,
+                hb_miss_threshold: 3,
+                chunk_bytes: 4 << 10,
+            }),
+        )
+    }
+
+    fn fleet_with(cfg: FleetConfig) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
         let m = SgxMachine::new(MachineConfig::tiny());
         let ut = ThreadCtx::untrusted(&m, 1);
         let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
@@ -1202,7 +1025,7 @@ mod tests {
             IoPath::Rpc(Arc::new(svc)),
             Arc::clone(&wire),
             sealer,
-            FleetConfig::small(replicas),
+            cfg,
             |ctx, kvs| {
                 for i in 0..32u32 {
                     kvs.set(ctx, format!("seed-{i}").as_bytes(), &[i as u8; 48]);
@@ -1330,7 +1153,10 @@ mod tests {
         let plain = wire.decrypt(&m.host.pop_response(fds[1]).unwrap());
         assert_eq!(plain[0], 1, "rejoined replica holds post-kill state");
         let st = m.stats.snapshot();
-        assert_eq!(st.fleet_restores, 2);
+        assert_eq!(
+            st.fleet_restores, 3,
+            "the kill restores into both survivors, the rejoin into one"
+        );
         assert!(
             st.xchan_msgs >= 4,
             "two fence protocols crossed the channel"
@@ -1342,6 +1168,40 @@ mod tests {
     fn kill_of_the_last_replica_fails_fast() {
         let (_m, _wire, _fds, fk) = fleet(1);
         fk.kill(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "maintenance core 0 is a serving core")]
+    fn maintenance_plane_on_a_serving_core_is_rejected() {
+        let _ = fleet_with(FleetConfig::small(2).with_maintenance(MaintenanceConfig {
+            core: 0,
+            ..MaintenanceConfig::default()
+        }));
+    }
+
+    #[test]
+    fn inline_kill_stalls_the_serving_cores_and_background_kill_does_not() {
+        // Inline placement: the victim's snapshot and every survivor's
+        // restore run on serving threads, so they all count as stall.
+        let (m, _wire, _fds, fk) = fleet(3);
+        let report = fk.kill(2);
+        let st = m.stats.snapshot();
+        assert_eq!(st.maint_stall_cycles, report.cycles);
+        assert_eq!(
+            st.fleet_restores, 2,
+            "the final delta reaches every survivor"
+        );
+        assert!(
+            st.maint_chunks > 0,
+            "inline kills stream chunked deltas too"
+        );
+        // Background placement: the same protocol on the plane's core.
+        let (m, _wire, _fds, fk) = fleet_bg(3);
+        let report = fk.kill(2);
+        let st = m.stats.snapshot();
+        assert!(report.cycles > 0);
+        assert_eq!(st.maint_stall_cycles, 0);
+        assert_eq!(st.fleet_restores, 2);
     }
 
     #[test]
@@ -1399,38 +1259,6 @@ mod tests {
         assert_eq!(fk.epoch(), 2);
         fk.kill(1);
         assert_eq!(fk.epoch(), 3);
-    }
-
-    fn fleet_bg(replicas: usize) -> (Arc<SgxMachine>, Arc<Session>, Vec<Fd>, FleetKvs) {
-        let m = SgxMachine::new(MachineConfig::tiny());
-        let ut = ThreadCtx::untrusted(&m, 1);
-        let fds: Vec<Fd> = (0..SHARDS).map(|_| m.host.socket(&ut, 256 << 10)).collect();
-        let svc = with_syscalls(RpcService::builder(&m), &m)
-            .workers(2, &[2, 3])
-            .build();
-        let wire = Arc::new(Session::established([9u8; 16]));
-        let sealer: Arc<dyn Sealer> = Arc::new(AesGcm128::new(&[0x44u8; 16]));
-        let fk = FleetKvs::new(
-            &m,
-            &fds,
-            ServerIoConfig::with_buf_len(16 << 10)
-                .batch(4)
-                .shards(SHARDS),
-            IoPath::Rpc(Arc::new(svc)),
-            Arc::clone(&wire),
-            sealer,
-            FleetConfig::small(replicas).with_maintenance(MaintenanceConfig {
-                core: 1,
-                hb_miss_threshold: 3,
-                chunk_bytes: 4 << 10,
-            }),
-            |ctx, kvs| {
-                for i in 0..32u32 {
-                    kvs.set(ctx, format!("seed-{i}").as_bytes(), &[i as u8; 48]);
-                }
-            },
-        );
-        (m, wire, fds, fk)
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! [`EngineConfig::Slab`] engine is the seed's slab/LRU store
 //! (optionally with the fence-time slab rebalancer), and
 //! [`EngineConfig::Segment`] swaps in the TTL-bucketed append-only
-//! segment store. Engine maintenance runs only in [`Kvs::fence`],
-//! which the batch handlers invoke at sub-batch boundaries.
+//! segment store. The batch handlers call [`Kvs::fence`] at sub-batch
+//! boundaries; the store's one placement flag
+//! ([`Kvs::set_background`]) decides whether the engine's maintenance
+//! pass runs right there on the serving thread or is left to
+//! [`Kvs::maintenance_tick`] on another core.
 //!
 //! The *version* is a caller-managed write stamp (the fleet tier sets
 //! it to its fence-epoch interval): every `set` stamps the item, and
@@ -47,6 +50,9 @@ const STORAGE_META_SECTION: &str = "storage-meta";
 pub struct Kvs {
     engine: Box<dyn StorageEngine>,
     version: u64,
+    /// Placement of engine maintenance: `false` runs it inline at every
+    /// fence, `true` leaves it to [`Self::maintenance_tick`].
+    background: bool,
 }
 
 impl Kvs {
@@ -77,6 +83,7 @@ impl Kvs {
         Self {
             engine: build_engine(cfg, meta_space, data_space, mem_limit, buckets),
             version: 0,
+            background: false,
         }
     }
 
@@ -85,12 +92,6 @@ impl Kvs {
     #[must_use]
     pub fn engine_label(&self) -> &'static str {
         self.engine.label()
-    }
-
-    /// The write stamp every subsequent `set` records on its item.
-    #[must_use]
-    pub fn write_version(&self) -> u64 {
-        self.version
     }
 
     /// Sets the write stamp. The fleet tier advances this to its fence
@@ -137,22 +138,30 @@ impl Kvs {
         self.engine.pool_bytes()
     }
 
-    /// Inserts or replaces `key` with `value` (no expiry).
-    pub fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8]) {
-        self.set_with_ttl(ctx, key, value, 0);
+    /// Inserts or replaces `key` with `value` (no expiry). Returns
+    /// whether it stored (see [`StorageEngine::set`]).
+    pub fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8]) -> bool {
+        self.set_with_ttl(ctx, key, value, 0)
     }
 
     /// Inserts or replaces `key` with `value`, expiring after
     /// `ttl_secs` of simulated time (0 = never) — memcached's
-    /// `exptime` semantics with lazy expiration.
-    pub fn set_with_ttl(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], ttl_secs: u32) {
+    /// `exptime` semantics with lazy expiration. Returns whether it
+    /// stored.
+    pub fn set_with_ttl(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        ttl_secs: u32,
+    ) -> bool {
         ctx.compute(OP_CYCLES);
         let expiry = if ttl_secs == 0 {
             0
         } else {
             now_secs(ctx).saturating_add(ttl_secs)
         };
-        self.engine.set(ctx, key, value, expiry, self.version);
+        self.engine.set(ctx, key, value, expiry, self.version)
     }
 
     /// Looks `key` up. Expired items are lazily deleted and read as
@@ -168,25 +177,32 @@ impl Kvs {
         self.engine.delete(ctx, key)
     }
 
-    /// Sub-batch fence: the only point where engine maintenance (slab
-    /// rebalancing, proactive segment expiry, gauge publishing) runs.
-    /// The batch handlers call it after every non-empty batch; serving
-    /// loops that bypass them must call it between batches themselves.
+    /// Sub-batch fence: the engine publishes its gauges and, with
+    /// inline placement, runs its maintenance pass (slab rebalancing,
+    /// segment expiry and merges) right here on the serving thread,
+    /// charging it to `maint_stall_cycles`. The batch handlers call it
+    /// after every non-empty batch; serving loops that bypass them
+    /// must call it between batches themselves.
     pub fn fence(&mut self, ctx: &mut ThreadCtx) {
         self.engine.fence(ctx);
+        if !self.background {
+            let t0 = ctx.now();
+            self.engine.maintenance_tick(ctx);
+            Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
+        }
     }
 
-    /// Switches the engine between fence-synchronous maintenance (the
-    /// default) and background mode, where fences only publish
-    /// counters and the byte-work runs in [`Self::maintenance_tick`]
-    /// off the serving path.
+    /// Places engine maintenance: inline at every [`Self::fence`] (the
+    /// default) or, when `on`, in [`Self::maintenance_tick`] calls made
+    /// from another core. The engine's decisions are the same either
+    /// way; only the core that pays for them changes.
     pub fn set_background(&mut self, on: bool) {
-        self.engine.set_background(on);
+        self.background = on;
     }
 
-    /// One engine background-maintenance pass, run by the maintenance
-    /// plane with a context on its own core. Returns whether any work
-    /// ran.
+    /// One engine maintenance pass on whatever core `ctx` is placed —
+    /// the background placement's half of [`Self::fence`]. Returns
+    /// whether any work ran.
     pub fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         self.engine.maintenance_tick(ctx)
     }
@@ -198,16 +214,20 @@ impl Kvs {
             .for_each(ctx, &mut |key, value, _version, _expiry| f(key, value));
     }
 
-    /// Encodes every live, unexpired item as the snapshot plaintext:
-    /// `count u64 || (klen u32, vlen u32, version u64, expiry u32,
-    /// key, value)*` in index order. Shared by both snapshot flavors.
-    /// Absolute expiry deadlines travel with the items, so a restore
-    /// preserves each item's remaining TTL.
-    fn encode_items(&self, ctx: &mut ThreadCtx) -> Vec<u8> {
+    /// Encodes every live, unexpired item whose write stamp is
+    /// `>= base` as the snapshot plaintext: `count u64 || (klen u32,
+    /// vlen u32, version u64, expiry u32, key, value)*` in index order.
+    /// `base = 0` encodes everything. Absolute expiry deadlines travel
+    /// with the items, so a restore preserves each item's remaining
+    /// TTL.
+    fn encode_items_since(&self, ctx: &mut ThreadCtx, base: u64) -> Vec<u8> {
         let mut body = Vec::new();
         let mut count = 0u64;
         self.engine
             .for_each(ctx, &mut |key, value, version, expiry| {
+                if version < base {
+                    return;
+                }
                 body.extend_from_slice(&(key.len() as u32).to_le_bytes());
                 body.extend_from_slice(&(value.len() as u32).to_le_bytes());
                 body.extend_from_slice(&version.to_le_bytes());
@@ -222,7 +242,7 @@ impl Kvs {
         plain
     }
 
-    /// Merges an item log produced by [`Self::encode_items`]:
+    /// Merges an item log produced by [`Self::encode_items_since`]:
     /// last-writer-wins on the per-item write stamp. An absent key is
     /// inserted (keeping the log's stamp); a present key is overwritten
     /// only when the log's stamp is strictly newer — a store only ever
@@ -255,8 +275,9 @@ impl Kvs {
                 }
             }
             ctx.compute(OP_CYCLES);
-            self.engine.set(ctx, &key, &value, expiry, version);
-            applied += 1;
+            if self.engine.set(ctx, &key, &value, expiry, version) {
+                applied += 1;
+            }
         }
         applied
     }
@@ -280,53 +301,18 @@ impl Kvs {
         domain: u32,
         epoch: u64,
     ) -> Snapshot {
-        let items = self.encode_items(ctx);
-        let count = u64::from_le_bytes(items[..8].try_into().expect("count"));
-        let label = self.engine.label().as_bytes();
-        let mut meta = Vec::with_capacity(1 + label.len() + 8);
-        meta.push(label.len() as u8);
-        meta.extend_from_slice(label);
-        meta.extend_from_slice(&count.to_le_bytes());
-        meta.extend_from_slice(&self.engine.meta_blob());
-        SnapshotBuilder::new(domain, epoch)
-            .section(KVS_SECTION, items)
-            .section(STORAGE_META_SECTION, meta)
-            .seal(ctx, sealer)
-    }
-
-    /// Encodes only the items whose write stamp is `>= base` — the
-    /// delta log for an incremental snapshot. Same framing as
-    /// [`Self::encode_items`].
-    fn encode_items_since(&self, ctx: &mut ThreadCtx, base: u64) -> Vec<u8> {
-        let mut body = Vec::new();
-        let mut count = 0u64;
-        self.engine
-            .for_each(ctx, &mut |key, value, version, expiry| {
-                if version < base {
-                    return;
-                }
-                body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                body.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                body.extend_from_slice(&version.to_le_bytes());
-                body.extend_from_slice(&expiry.to_le_bytes());
-                body.extend_from_slice(key);
-                body.extend_from_slice(value);
-                count += 1;
-            });
-        let mut plain = Vec::with_capacity(8 + body.len());
-        plain.extend_from_slice(&count.to_le_bytes());
-        plain.extend_from_slice(&body);
-        plain
+        let items = self.encode_items_since(ctx, 0);
+        self.seal_items(ctx, sealer, domain, epoch, items)
     }
 
     /// Incremental flavor of [`Self::snapshot`]: captures only the
     /// items written at stamp `>= base`, so a receiver that already
     /// holds everything below `base` can catch up from the delta
-    /// alone. `base = 0` degenerates to a full snapshot. The
-    /// `"storage-meta"` section carries the *delta* item count, so
-    /// [`Self::restore`] applies unchanged. The maintenance plane
-    /// streams these in chunks between failover fences; the number of
-    /// delta items is published as `snapshot_delta_items`.
+    /// alone. `base = 0` carries every item. The `"storage-meta"`
+    /// section carries the *delta* item count, so [`Self::restore`]
+    /// applies unchanged. This is what every fleet transfer ships;
+    /// each item pays `snapshot_delta_item` for the stamp filter and
+    /// is counted in `snapshot_delta_items`.
     #[must_use]
     pub fn snapshot_since(
         &self,
@@ -340,6 +326,21 @@ impl Kvs {
         let count = u64::from_le_bytes(items[..8].try_into().expect("count"));
         ctx.compute(count * ctx.machine.cfg.costs.snapshot_delta_item);
         Stats::add(&ctx.machine.stats.snapshot_delta_items, count);
+        self.seal_items(ctx, sealer, domain, epoch, items)
+    }
+
+    /// Seals an encoded item log plus its `"storage-meta"` section
+    /// (engine label, the log's item count, the engine's layout blob)
+    /// into a portable [`Snapshot`].
+    fn seal_items(
+        &self,
+        ctx: &mut ThreadCtx,
+        sealer: &dyn Sealer,
+        domain: u32,
+        epoch: u64,
+        items: Vec<u8>,
+    ) -> Snapshot {
+        let count = u64::from_le_bytes(items[..8].try_into().expect("count"));
         let label = self.engine.label().as_bytes();
         let mut meta = Vec::with_capacity(1 + label.len() + 8);
         meta.push(label.len() as u8);
@@ -396,7 +397,7 @@ impl Kvs {
         cipher: &eleos_crypto::gcm::AesGcm128,
         nonce: &eleos_crypto::gcm::Nonce,
     ) -> Vec<u8> {
-        let mut blob = self.encode_items(ctx);
+        let mut blob = self.encode_items_since(ctx, 0);
         ctx.compute(ctx.machine.cfg.costs.crypto(blob.len()));
         let tag = cipher.seal(nonce, b"kvs-snapshot", &mut blob);
         let mut out = Vec::with_capacity(12 + 16 + blob.len());
@@ -435,7 +436,8 @@ impl Kvs {
     /// with op 0 = GET, 1 = SET, 2 = SET-with-TTL (a `ttl u32` in
     /// seconds follows `val_len`, shifting the key to offset 11).
     /// Response: GET → `[1][val_len][value]` or `[0]`; SET and
-    /// SET-with-TTL → `[1]`.
+    /// SET-with-TTL → `[1]`, or `[0]` when the engine refused to store
+    /// the item.
     pub fn handle_request(&mut self, ctx: &mut ThreadCtx, io: &ServerIo) -> bool {
         let Some(plain) = io.recv_msg(ctx) else {
             return false;
@@ -460,7 +462,7 @@ impl Kvs {
             .collect();
         io.send_batch(ctx, &replies);
         if !requests.is_empty() {
-            self.engine.fence(ctx);
+            self.fence(ctx);
         }
         requests.len()
     }
@@ -482,7 +484,7 @@ impl Kvs {
             .collect();
         io.send_batch(ctx, &replies);
         if !requests.is_empty() {
-            self.engine.fence(ctx);
+            self.fence(ctx);
         }
         requests.len()
     }
@@ -507,15 +509,13 @@ impl Kvs {
             },
             1 => {
                 let value = &plain[7 + klen..7 + klen + vlen];
-                self.set(ctx, key, value);
-                vec![1u8]
+                vec![u8::from(self.set(ctx, key, value))]
             }
             2 => {
                 let ttl = u32::from_le_bytes(plain[7..11].try_into().expect("short header"));
                 let key = &plain[11..11 + klen];
                 let value = &plain[11 + klen..11 + klen + vlen];
-                self.set_with_ttl(ctx, key, value, ttl);
-                vec![1u8]
+                vec![u8::from(self.set_with_ttl(ctx, key, value, ttl))]
             }
             other => panic!("unknown KVS opcode {other}"),
         }
@@ -984,6 +984,132 @@ mod tests {
             &[0u8],
             "TTL'd item must expire"
         );
+        t.exit();
+    }
+
+    /// Calcifies a rebalancing store on small items, then shifts to
+    /// large ones with a fence every 64 sets; `tick` runs after each
+    /// fence (the background placement's maintenance pass).
+    fn shift_sizes(kvs: &mut Kvs, t: &mut ThreadCtx, mut tick: impl FnMut(&mut Kvs)) {
+        kvs.init(t);
+        for i in 0..20_000u32 {
+            kvs.set(t, format!("a-{i}").as_bytes(), &[1u8; 100]);
+        }
+        for i in 0..20_000u32 {
+            kvs.delete(t, format!("a-{i}").as_bytes());
+        }
+        for i in 0..2_000u32 {
+            kvs.set(t, format!("b-{i}").as_bytes(), &[2u8; 1200]);
+            if i % 64 == 0 {
+                kvs.fence(t);
+                tick(kvs);
+            }
+        }
+    }
+
+    #[test]
+    fn inline_placement_moves_slabs_at_the_fence_as_stall() {
+        let cfg = EngineConfig::Slab {
+            rebalance: Some(crate::storage::RebalanceConfig::default()),
+        };
+        let (mut kvs, mut t) = untrusted_kvs_with(4 << 20, &cfg);
+        let m = Arc::clone(&t.machine);
+        shift_sizes(&mut kvs, &mut t, |_| {});
+        let d = m.stats.snapshot();
+        assert!(d.slab_moves > 0, "inline fences run the rebalancer");
+        assert!(d.maint_stall_cycles > 0, "and charge it as serving stall");
+        t.exit();
+    }
+
+    #[test]
+    fn background_placement_moves_slabs_in_the_tick_not_the_fence() {
+        let cfg = EngineConfig::Slab {
+            rebalance: Some(crate::storage::RebalanceConfig::default()),
+        };
+        let (mut kvs, mut t) = untrusted_kvs_with(4 << 20, &cfg);
+        let m = Arc::clone(&t.machine);
+        kvs.set_background(true);
+        shift_sizes(&mut kvs, &mut t, |_| {});
+        let d = m.stats.snapshot();
+        assert_eq!(d.slab_moves, 0, "background fences must not move slabs");
+        assert_eq!(d.maint_stall_cycles, 0, "background fences must not stall");
+        assert!(
+            kvs.maintenance_tick(&mut t),
+            "the tick must find the starved class"
+        );
+        let d = m.stats.snapshot();
+        assert!(d.slab_moves > 0, "moves run in the tick");
+        assert_eq!(d.maint_stall_cycles, 0, "tick work is not a serving stall");
+        t.exit();
+    }
+
+    #[test]
+    fn background_segment_tick_merges_proactively() {
+        let cfg = EngineConfig::Segment(SegmentConfig::default());
+        let (mut kvs, mut t) = untrusted_kvs_with(1 << 20, &cfg);
+        let m = Arc::clone(&t.machine);
+        kvs.init(&mut t);
+        kvs.set_background(true);
+        for i in 0..6000u32 {
+            let key = format!("key-{i:05}");
+            let value = vec![(i % 251) as u8; 200 + (i as usize % 200)];
+            kvs.set(&mut t, key.as_bytes(), &value);
+            if i % 64 == 0 {
+                kvs.fence(&mut t);
+                kvs.maintenance_tick(&mut t);
+            }
+        }
+        assert!(
+            m.stats.snapshot().bg_merges > 0,
+            "the tick must merge proactively"
+        );
+        // Recent keys survive with correct bytes despite background
+        // compaction.
+        let mut present = 0;
+        for i in 5900..6000u32 {
+            let key = format!("key-{i:05}");
+            if let Some(v) = kvs.get(&mut t, key.as_bytes()) {
+                assert_eq!(v, vec![(i % 251) as u8; 200 + (i as usize % 200)]);
+                present += 1;
+            }
+        }
+        assert!(present > 50, "recent keys should survive background merges");
+        t.exit();
+    }
+
+    #[test]
+    fn set_with_no_possible_chunk_replies_not_stored() {
+        // One slab, carved entirely for 64 B values: a 512 B value's
+        // class owns no slab and none can be carved.
+        let (mut kvs, mut t) = untrusted_kvs(1 << 20);
+        kvs.init(&mut t);
+        for i in 0..12_000u32 {
+            kvs.set(&mut t, format!("k{i:05}").as_bytes(), &[1u8; 64]);
+        }
+        let (len, evictions) = (kvs.len(), kvs.evictions());
+        let m = Arc::clone(&t.machine);
+        let wire = Arc::new(crate::wire::Session::established([3u8; 16]));
+        let fd = m.host.socket(&t, 64 << 10);
+        let io = crate::io::ServerIoConfig::with_buf_len(32 << 10).build(
+            &t,
+            &[fd],
+            crate::io::IoPath::Ocall,
+            Arc::clone(&wire),
+        );
+        m.host
+            .push_request(&t, fd, &wire.encrypt(&build_set(b"big", &[2u8; 512])));
+        m.host.push_request(
+            &t,
+            fd,
+            &wire.encrypt(&build_set_ttl(b"big", &[2u8; 512], 9)),
+        );
+        assert!(kvs.handle_request(&mut t, &io));
+        assert!(kvs.handle_request(&mut t, &io));
+        for _ in 0..2 {
+            assert_eq!(wire.decrypt(&m.host.pop_response(fd).unwrap()), &[0u8]);
+        }
+        assert_eq!(kvs.len(), len);
+        assert_eq!(kvs.evictions(), evictions, "a refused SET evicts nothing");
         t.exit();
     }
 

@@ -29,7 +29,6 @@ pub mod fleet_io;
 pub mod io;
 pub mod kvs;
 pub mod loadgen;
-pub mod maintenance;
 pub mod param_server;
 pub mod slab;
 pub mod space;

@@ -135,12 +135,6 @@ impl KvsLoad {
         (i, kvs::build_get(&self.key(i)))
     }
 
-    /// Next GET drawn from a [`Zipf`] distribution (hot keys first).
-    pub fn get_plain_zipf(&mut self, zipf: &Zipf) -> (u64, Vec<u8>) {
-        let i = zipf.sample(&mut self.rng) as u64;
-        (i, kvs::build_get(&self.key(i)))
-    }
-
     /// Total data-set bytes (what "500 MB of data" means in §6.2.2).
     #[must_use]
     pub fn dataset_bytes(&self) -> u64 {
@@ -601,29 +595,6 @@ impl ConnStream {
                 active[zipf.sample(rng).min(active.len() - 1)]
             }
         }
-    }
-}
-
-/// Pushes `n` encrypted requests onto a shard set: `req_of(i)` names
-/// request `i`'s `(connection, enqueue timestamp)` — the request lands
-/// on `fds[shard_for(conn, fds.len())]` and carries the explicit
-/// stamp (in the serving core's timebase) so the reap can histogram
-/// cycles of sojourn.
-pub fn fill_socket_set(
-    machine: &SgxMachine,
-    ctx: &ThreadCtx,
-    fds: &[Fd],
-    session: &Session,
-    n: usize,
-    mut req_of: impl FnMut(usize) -> (u64, u64),
-    mut next_plain: impl FnMut() -> Vec<u8>,
-) {
-    for i in 0..n {
-        let (conn, stamp) = req_of(i);
-        let fd = fds[shard_for(conn, fds.len())];
-        machine
-            .host
-            .push_request_at(ctx, fd, &session.encrypt(&next_plain()), stamp);
     }
 }
 

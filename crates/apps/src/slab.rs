@@ -107,6 +107,20 @@ impl SlabPool {
         Some((idx, addr))
     }
 
+    /// Whether a `len`-byte item can ever get a chunk: its class has a
+    /// free chunk, owns a slab (evicting that class's items frees
+    /// chunks), or a new slab still fits the limit. When this is
+    /// `false`, evicting every item would free no chunk of the class.
+    #[must_use]
+    pub fn can_hold(&self, len: usize) -> bool {
+        let Some(idx) = self.class_of(len) else {
+            return false;
+        };
+        !self.classes[idx].free.is_empty()
+            || self.slabs.iter().any(|s| s.class == idx)
+            || self.slab_bytes + SLAB_BYTES as u64 <= self.limit
+    }
+
     /// Returns a chunk to its class.
     pub fn free(&mut self, class: usize, addr: u64) {
         self.classes[class].free.push(addr);

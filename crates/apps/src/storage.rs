@@ -6,7 +6,7 @@
 //!
 //! - [`SlabEngine`] — the original slab/LRU store, now with an
 //!   optional **slab rebalancer**: per-class hit/eviction windows
-//!   decide, at sub-batch fences only, when to reassign a whole 1 MiB
+//!   decide, in maintenance passes only, when to reassign a whole 1 MiB
 //!   slab from a cold class to a starved ("calcified") one, relocating
 //!   the donor slab's live items to sibling slabs first (memcached's
 //!   slab automover).
@@ -20,19 +20,17 @@
 //! Both engines keep the paper's §5.1 split: hash-chain/LRU/expiry
 //! metadata lives in the clear metadata space; keys, values and their
 //! sizes live in the secure data space, every access charged through
-//! [`DataSpace`]. Engine maintenance (rebalance moves, merges, segment
-//! expiry) runs **only** inside [`StorageEngine::fence`], which the
-//! serving path calls between batches — never mid-batch, reusing the
-//! fence discipline of shard rebalance and fleet failover.
+//! [`DataSpace`].
 //!
-//! In **background mode** ([`StorageEngine::set_background`]) the
-//! fence keeps that role but sheds the byte-work: it only publishes
-//! gauges and decays demand windows, while the relocation/merge/expiry
-//! copies run in [`StorageEngine::maintenance_tick`] on the
-//! maintenance plane's core — the Eleos move of taking stall-inducing
-//! work off the serving threads. Fence-synchronous maintenance charges
-//! its cycles to the `maint_stall_cycles` stat so benches can show the
-//! stall disappearing from the serving cores.
+//! Engine upkeep has two hooks and no modes. [`StorageEngine::fence`]
+//! runs at every sub-batch boundary and only publishes counters.
+//! [`StorageEngine::maintenance_tick`] does the byte-work: rebalance
+//! moves and window decay, segment expiry sweeps and proactive merges.
+//! Where the tick runs is the caller's placement choice, made once in
+//! [`Kvs`](crate::kvs::Kvs): inline on the serving thread right after
+//! each fence (charged to `maint_stall_cycles`), or on the maintenance
+//! plane's core — the Eleos move of taking stall-inducing work off the
+//! serving threads. Either way the engine makes the same decisions.
 
 use eleos_enclave::thread::ThreadCtx;
 use eleos_sim::stats::{Stats, MAX_STORAGE_CLASSES};
@@ -73,7 +71,7 @@ const FLAG_HEAD: u32 = 2;
 /// Sanity marker in a spill head's 16-byte descriptor ("SPLL").
 const SPILL_MAGIC: u32 = 0x5350_4C4C;
 
-/// Free segments the background tick tries to keep on hand so the
+/// Free segments the maintenance tick tries to keep on hand so the
 /// serving-path allocator almost never reclaims inline.
 const SEG_FREE_RESERVE: usize = 2;
 
@@ -170,19 +168,16 @@ impl EngineConfig {
 /// Slab rebalancer tuning.
 #[derive(Debug, Clone)]
 pub struct RebalanceConfig {
-    /// Attempt moves every this many fences (1 = every fence).
-    pub fence_period: u32,
     /// A class is *starved* when its free chunks drop below
     /// `chunks_per_slab / starve_frac` (minimum 1).
     pub starve_frac: usize,
-    /// Upper bound on whole-slab moves per eligible fence.
+    /// Upper bound on whole-slab moves per maintenance pass.
     pub max_moves_per_fence: usize,
 }
 
 impl Default for RebalanceConfig {
     fn default() -> Self {
         Self {
-            fence_period: 1,
             starve_frac: 8,
             max_moves_per_fence: 1,
         }
@@ -229,8 +224,17 @@ pub trait StorageEngine: Send {
     /// One-time index initialization (zeroes the bucket heads).
     fn init(&self, ctx: &mut ThreadCtx);
 
-    /// Inserts or replaces `key`.
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64);
+    /// Inserts or replaces `key`. Returns whether it stored: an engine
+    /// may refuse a SET it can never find room for, leaving the store
+    /// untouched.
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool;
 
     /// Looks `key` up. Expired items are lazily deleted and read as
     /// misses.
@@ -261,9 +265,8 @@ pub trait StorageEngine: Send {
     /// Bytes of secure pool acquired from the data space.
     fn pool_bytes(&self) -> u64;
 
-    /// Sub-batch fence hook: the only place engine maintenance
-    /// (rebalance moves, proactive segment expiry, gauge publishing)
-    /// may run. Never called mid-batch.
+    /// Sub-batch fence hook: publishes the engine's gauges. Never
+    /// called mid-batch, and never does byte-work.
     fn fence(&mut self, ctx: &mut ThreadCtx);
 
     /// Visits every live, unexpired item (index order) with
@@ -274,15 +277,9 @@ pub trait StorageEngine: Send {
     /// section (layout parameters a restore-side can sanity-check).
     fn meta_blob(&self) -> Vec<u8>;
 
-    /// Switches between fence-synchronous maintenance (the default)
-    /// and background mode, where fences only publish counters and
-    /// the byte-work waits for [`Self::maintenance_tick`].
-    fn set_background(&mut self, _on: bool) {}
-
-    /// One background-maintenance pass, run by the maintenance plane
-    /// with a context pinned to its own core — never the serving
-    /// path's. Returns whether any work ran. A no-op unless the
-    /// engine is in background mode.
+    /// One maintenance pass: the engine's byte-work (rebalance moves,
+    /// expiry sweeps, merges), on whatever core `ctx` is placed.
+    /// Returns whether any work ran.
     fn maintenance_tick(&mut self, _ctx: &mut ThreadCtx) -> bool {
         false
     }
@@ -347,9 +344,6 @@ pub struct SlabEngine {
     window: Vec<ClassWindow>,
     /// Cumulative per-class totals, published as gauges at fences.
     totals: Vec<ClassWindow>,
-    fences: u32,
-    /// Background mode: fences publish only; moves run in the tick.
-    background: bool,
 }
 
 impl SlabEngine {
@@ -378,8 +372,6 @@ impl SlabEngine {
             rebalance,
             window: vec![ClassWindow::default(); n],
             totals: vec![ClassWindow::default(); n],
-            fences: 0,
-            background: false,
         }
     }
 
@@ -606,8 +598,8 @@ impl SlabEngine {
 
     /// Exponential decay keeps the windows tracking *recent* demand,
     /// so a long-cold class eventually looks like a donor. Runs after
-    /// the byte-work (synchronous fence or background tick) so the
-    /// rebalancer always acts on pre-decay demand.
+    /// the moves of a maintenance pass so the rebalancer always acts
+    /// on pre-decay demand.
     fn decay_windows(&mut self) {
         for w in &mut self.window {
             w.sets /= 2;
@@ -647,9 +639,21 @@ impl StorageEngine for SlabEngine {
         }
     }
 
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64) {
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool {
         let record_len = 8 + key.len() + value.len();
         self.note(record_len, false);
+        if !self.slab.can_hold(record_len) {
+            // No chunk of this class exists or can be carved, so even
+            // evicting the whole store would free none: refuse.
+            return false;
+        }
         if let Some((node, prev)) = self.find(ctx, key) {
             let kv = self.meta_space.read_u64(ctx, node + M_KV_ADDR);
             let class = self.meta_space.read_u32(ctx, node + M_KV_CLASS) as usize;
@@ -660,7 +664,7 @@ impl StorageEngine for SlabEngine {
                 self.meta_space.write_u64(ctx, node + M_VERSION, version);
                 self.lru_unlink(ctx, node);
                 self.lru_push_front(ctx, node);
-                return;
+                return true;
             }
             // Wrong class: drop and reinsert.
             self.chain_unlink(ctx, key, node, prev);
@@ -691,6 +695,7 @@ impl StorageEngine for SlabEngine {
         self.meta_space.write_u64(ctx, bucket, node);
         self.lru_push_front(ctx, node);
         self.items += 1;
+        true
     }
 
     fn get(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
@@ -756,47 +761,17 @@ impl StorageEngine for SlabEngine {
     }
 
     fn fence(&mut self, ctx: &mut ThreadCtx) {
-        let Some(cfg) = self.rebalance.clone() else {
-            // Rebalancer off: the fence is free (bit- and
-            // cycle-identical to the seed's store).
-            return;
-        };
-        self.fences += 1;
-        self.publish_gauges(ctx);
-        if !self.fences.is_multiple_of(cfg.fence_period) {
-            return;
+        // Rebalancer off: the fence is free (bit- and cycle-identical
+        // to the seed's store).
+        if self.rebalance.is_some() {
+            self.publish_gauges(ctx);
         }
-        if self.background {
-            // Background mode: the fence only publishes. Byte-work
-            // *and* window decay move to the maintenance tick so the
-            // tick sees the same pre-decay demand the synchronous
-            // fence would have acted on.
-            return;
-        }
-        // Fence-synchronous mode: the relocation byte-work runs
-        // right here, and every cycle of it stalls the serving
-        // core.
-        let t0 = ctx.now();
-        for _ in 0..cfg.max_moves_per_fence {
-            if !self.try_rebalance(ctx) {
-                break;
-            }
-        }
-        Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
-        self.decay_windows();
-    }
-
-    fn set_background(&mut self, on: bool) {
-        self.background = on;
     }
 
     fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
         let Some(cfg) = self.rebalance.clone() else {
             return false;
         };
-        if !self.background {
-            return false;
-        }
         let mut did = false;
         for _ in 0..cfg.max_moves_per_fence {
             if !self.try_rebalance(ctx) {
@@ -905,9 +880,6 @@ pub struct SegmentEngine {
     expired: u64,
     /// Indexed nodes that are spill *parts* (excluded from `len`).
     spill_parts: u64,
-    /// Background mode: fences publish only; expiry sweeps and merges
-    /// run in the tick.
-    background: bool,
 }
 
 impl SegmentEngine {
@@ -944,7 +916,6 @@ impl SegmentEngine {
             evictions: 0,
             expired: 0,
             spill_parts: 0,
-            background: false,
         }
     }
 
@@ -1018,9 +989,9 @@ impl SegmentEngine {
                 self.segments.push(Segment::fresh(base));
                 return self.segments.len() - 1;
             }
-            // Inline reclamation stalls the set that triggered it; in
-            // background mode the tick's free-segment reserve makes
-            // this path rare.
+            // Inline reclamation stalls the set that triggered it; the
+            // maintenance tick's free-segment reserve makes this path
+            // rare.
             let t0 = ctx.now();
             self.reclaim(ctx);
             Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
@@ -1499,15 +1470,23 @@ impl StorageEngine for SegmentEngine {
         }
     }
 
-    fn set(&mut self, ctx: &mut ThreadCtx, key: &[u8], value: &[u8], expiry: u32, version: u64) {
+    fn set(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        key: &[u8],
+        value: &[u8],
+        expiry: u32,
+        version: u64,
+    ) -> bool {
         let record_len = 8 + key.len() + value.len();
         if record_len > self.cfg.segment_bytes {
             self.set_spill(ctx, key, value, expiry, version);
-            return;
+            return true;
         }
         // A plain set over a spill head must take the old parts along.
         self.drop_spill_parts_of(ctx, key);
         self.insert_or_update(ctx, key, value, expiry, version, FLAG_PLAIN);
+        true
     }
 
     fn get(&mut self, ctx: &mut ThreadCtx, key: &[u8]) -> Option<Vec<u8>> {
@@ -1580,15 +1559,6 @@ impl StorageEngine for SegmentEngine {
     }
 
     fn fence(&mut self, ctx: &mut ThreadCtx) {
-        if !self.background {
-            // Proactive whole-segment expiry: the host-side deadline
-            // check costs nothing, but actual reclamation does
-            // simulated work right here on the serving core. In
-            // background mode the sweep moves to the tick.
-            let t0 = ctx.now();
-            self.expire_segments(ctx);
-            Stats::add(&ctx.machine.stats.maint_stall_cycles, ctx.now() - t0);
-        }
         // Publish per-TTL-bucket live-segment counts as class gauges.
         let st = &ctx.machine.stats.storage;
         for (tb, b) in self.ttl.iter().enumerate().take(MAX_STORAGE_CLASSES) {
@@ -1597,14 +1567,9 @@ impl StorageEngine for SegmentEngine {
         }
     }
 
-    fn set_background(&mut self, on: bool) {
-        self.background = on;
-    }
-
     fn maintenance_tick(&mut self, ctx: &mut ThreadCtx) -> bool {
-        if !self.background {
-            return false;
-        }
+        // Proactive whole-segment expiry: the host-side deadline check
+        // costs nothing; actual reclamation does simulated work.
         let mut did = self.expire_segments(ctx) > 0;
         // Merge proactively to keep a reserve of free segments, so the
         // serving-path allocator almost never reclaims inline. Only
@@ -1793,9 +1758,10 @@ mod tests {
         }
         let pool_before = eng.pool_bytes();
         assert!(pool_before >= 128 << 10);
-        // Cross the deadline; the fence reclaims sealed segments whole.
+        // Cross the deadline; a maintenance pass reclaims sealed
+        // segments whole.
         t.compute(8 * 3_400_000_000);
-        eng.fence(&mut t);
+        eng.maintenance_tick(&mut t);
         let d = m.stats.snapshot();
         assert!(d.seg_expired_segments > 0, "whole segments must expire");
         assert!(d.expired_items > 0);
@@ -1825,9 +1791,9 @@ mod tests {
             eng.set(&mut t, format!("b-{i}").as_bytes(), &[2u8; 1200], 0, 1);
             if i % 64 == 0 {
                 eng.fence(&mut t);
+                eng.maintenance_tick(&mut t);
             }
         }
-        eng.fence(&mut t);
         let d = m.stats.snapshot();
         assert!(d.slab_moves > 0, "the rebalancer must move slabs");
         // Everything in phase B's recent window still reads correctly.
@@ -1884,70 +1850,6 @@ mod tests {
     }
 
     #[test]
-    fn background_slab_moves_happen_in_the_tick_not_the_fence() {
-        let (mut eng, mut t) = slab_engine(4 << 20, Some(RebalanceConfig::default()));
-        let m = Arc::clone(&t.machine);
-        eng.set_background(true);
-        m.reset_counters();
-        // Calcify on small items, then shift to large ones (the same
-        // load the synchronous rebalancer test uses).
-        for i in 0..20_000u32 {
-            eng.set(&mut t, format!("a-{i}").as_bytes(), &[1u8; 100], 0, 1);
-        }
-        for i in 0..20_000u32 {
-            eng.delete(&mut t, format!("a-{i}").as_bytes());
-        }
-        for i in 0..2_000u32 {
-            eng.set(&mut t, format!("b-{i}").as_bytes(), &[2u8; 1200], 0, 1);
-            if i % 64 == 0 {
-                eng.fence(&mut t);
-            }
-        }
-        let d = m.stats.snapshot();
-        assert_eq!(d.slab_moves, 0, "background fences must not move slabs");
-        assert_eq!(d.maint_stall_cycles, 0, "background fences must not stall");
-        assert!(
-            eng.maintenance_tick(&mut t),
-            "the tick must find the starved class"
-        );
-        let d = m.stats.snapshot();
-        assert!(d.slab_moves > 0, "moves run in the tick");
-        assert_eq!(d.maint_stall_cycles, 0, "tick work is not a serving stall");
-        t.exit();
-    }
-
-    #[test]
-    fn background_segment_tick_merges_proactively() {
-        let (mut eng, mut t) = segment_engine(1 << 20);
-        let m = Arc::clone(&t.machine);
-        eng.set_background(true);
-        m.reset_counters();
-        for i in 0..6000u32 {
-            let key = format!("key-{i:05}");
-            let value = vec![(i % 251) as u8; 200 + (i as usize % 200)];
-            eng.set(&mut t, key.as_bytes(), &value, 0, 1);
-            if i % 64 == 0 {
-                eng.fence(&mut t);
-                eng.maintenance_tick(&mut t);
-            }
-        }
-        let d = m.stats.snapshot();
-        assert!(d.bg_merges > 0, "the tick must merge proactively");
-        // Recent keys survive with correct bytes despite background
-        // compaction.
-        let mut present = 0;
-        for i in 5900..6000u32 {
-            let key = format!("key-{i:05}");
-            if let Some(v) = eng.get(&mut t, key.as_bytes()) {
-                assert_eq!(v, vec![(i % 251) as u8; 200 + (i as usize % 200)]);
-                present += 1;
-            }
-        }
-        assert!(present > 50, "recent keys should survive background merges");
-        t.exit();
-    }
-
-    #[test]
     fn rebalancer_off_fence_is_free() {
         let (mut eng, mut t) = slab_engine(4 << 20, None);
         eng.set(&mut t, b"k", b"v", 0, 1);
@@ -1969,6 +1871,7 @@ mod tests {
             eng.set(&mut t, format!("fill-{i}").as_bytes(), &[3u8; 1200], 0, 1);
             if i % 64 == 0 {
                 eng.fence(&mut t);
+                eng.maintenance_tick(&mut t);
             }
         }
         // Any keep-* item still indexed must read back exactly.

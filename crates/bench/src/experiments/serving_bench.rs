@@ -56,9 +56,10 @@
 //! run and respawn it at 75%, with the kill fired *mid-backlog* so
 //! the outstanding requests see the failover window:
 //!
-//! - `kill-respawn` runs the fence synchronously: the victim's
-//!   snapshot and the heir's restore stall the serving cores, and the
-//!   stranded backlog's sojourn eats the whole fence.
+//! - `kill-respawn` places the fence's byte-work inline: the victim's
+//!   full-image snapshot and every survivor's restore stall the
+//!   serving cores, and the stranded backlog's sojourn eats the whole
+//!   fence.
 //! - `kill-respawn-bg` runs the maintenance plane
 //!   ([`FleetKvs::maintenance_tick`] on its own core): the bench
 //!   *mutes* the victim (stops pumping it) and the background failure
@@ -397,7 +398,7 @@ fn cell(
 
 /// Runs one fleet cell: `replicas` enclaves over [`FLEET_SHARDS`]
 /// shared sockets on the steady load. `chaos` is `"none"`,
-/// `"kill-respawn"` (synchronous fence at the serving cores) or
+/// `"kill-respawn"` (fence byte-work inline on the serving cores) or
 /// `"kill-respawn-bg"` (the maintenance plane's failure detector and
 /// rejoin queue, off the serving path); both chaos schedules fire the
 /// kill mid-backlog so the outstanding requests see the failover

@@ -16,13 +16,16 @@
 //!   whole expired segments at fences and keeps the op path free of
 //!   LRU pointer maintenance.
 //!
-//! The `slab-rebal-bg` and `segment-bg` engines run the same configs
-//! in **background mode**: serving-path fences only publish counters,
-//! and the relocation/merge byte-work runs in
-//! [`Kvs::maintenance_tick`] on a second core after each fence. Each
-//! cell carries `maint_stall_cycles` (serving-core cycles stalled in
-//! fence byte-work — must be ~0 for the background engines) and
-//! `bg_merges` (proactive segment merges the tick performed).
+//! The `slab-rebal` and `segment` engines place maintenance inline:
+//! every fence runs the engine's maintenance pass on the serving
+//! thread. The `slab-rebal-bg` and `segment-bg` engines run the same
+//! configs with **background placement**: serving-path fences only
+//! publish counters, and the same pass runs in
+//! [`Kvs::maintenance_tick`] on a second core after each fence, so
+//! both placements make identical engine decisions. Each cell carries
+//! `maint_stall_cycles` (serving-core cycles stalled in inline
+//! maintenance — must be ~0 for the background engines) and
+//! `bg_merges` (proactive segment merges the pass performed).
 
 use std::sync::Arc;
 
@@ -66,7 +69,7 @@ struct Cell {
     expired: u64,
     slab_moves: u64,
     seg_merges: u64,
-    /// Serving-core cycles stalled in fence-synchronous byte-work
+    /// Serving-core cycles stalled in inline maintenance byte-work
     /// (~0 for the background engines — that is their whole point).
     maint_stall: u64,
     /// Proactive segment merges the background tick performed.

@@ -268,23 +268,6 @@ impl Snapshot {
         assert_eq!(r.at, bytes.len(), "trailing bytes after snapshot frame");
         Snapshot { epoch, sections }
     }
-
-    /// Parses a frame that arrived split into bounded chunks (the
-    /// maintenance plane streams delta snapshots over the cross-enclave
-    /// channel in pieces so the ring stays small). Equivalent to
-    /// concatenating the chunks and calling [`Self::from_bytes`].
-    ///
-    /// # Panics
-    /// Panics on malformed framing, like [`Self::from_bytes`].
-    #[must_use]
-    pub fn from_chunks(chunks: &[Vec<u8>]) -> Self {
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        let mut bytes = Vec::with_capacity(total);
-        for c in chunks {
-            bytes.extend_from_slice(c);
-        }
-        Self::from_bytes(&bytes)
-    }
 }
 
 /// Bounds-checked cursor over a snapshot frame.

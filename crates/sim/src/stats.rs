@@ -560,7 +560,7 @@ stats! {
     expired_items,
     /// Delta-snapshot chunks carried over the cross-enclave channel by the maintenance plane.
     maint_chunks,
-    /// Serving-core cycles stalled inside fence-synchronous maintenance (slab moves, segment expiry/merges, fleet snapshot+restore); ~0 when the background maintenance plane runs the byte-work off-core.
+    /// Serving-core cycles stalled in maintenance placed inline (slab moves, segment expiry/merges, fleet snapshot+restore); ~0 when the background maintenance plane runs the byte-work off-core.
     maint_stall_cycles,
     /// Items carried by incremental (delta) snapshots streamed by the maintenance plane.
     snapshot_delta_items,

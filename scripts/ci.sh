@@ -147,6 +147,15 @@ if segbg["busy_cpo"] >= seg_sync["busy_cpo"]:
         f"not beat the fence-synchronous store {seg_sync['busy_cpo']:.0f}"
     )
 
+# One maintenance path: inline and background placement differ only in
+# which core pays, so each engine makes identical decisions either way.
+for cell in ("shifting", "skewed", "ttl"):
+    for inline, bg in (("slab-rebal", "slab-rebal-bg"), ("segment", "segment-bg")):
+        for field in ("evictions", "slab_moves", "seg_merges", "items_end"):
+            a, b = by[(cell, inline)][field], by[(cell, bg)][field]
+            if a != b:
+                sys.exit(f"{cell}: {inline} {field} {a} != {bg} {field} {b}")
+
 # TTL-heavy traffic: the segment store reclaims whole expired segments
 # at fences and must beat the static slab engine on busy cycles/op.
 seg = by[("ttl", "segment")]

@@ -376,3 +376,131 @@ fn background_transparency_scaffold_moves_slabs_off_the_fence() {
         "background relocation must not stall serving fences"
     );
 }
+
+// ---------------------------------------------------------------------
+// Placement equivalence: inline vs background maintenance
+// ---------------------------------------------------------------------
+
+/// What one placement run decided, besides its replies.
+#[derive(Debug, PartialEq)]
+struct Decisions {
+    evictions: u64,
+    slab_moves: u64,
+    seg_merges: u64,
+    len: u64,
+}
+
+/// A value-size shift under memory pressure: small items fill most of
+/// a 4 MiB pool, then ~1.2 KiB writes (with reads and scattered
+/// deletes) force slab moves or segment merges and evictions. A fence
+/// closes every 64 ops; with `background` the maintenance pass runs on
+/// a second core right after each fence, otherwise the fence runs it
+/// inline. Returns every reply, the decisions and the serving-path
+/// stall.
+fn run_placement(cfg: &EngineConfig, background: bool) -> (Vec<Option<Vec<u8>>>, Decisions, u64) {
+    const SMALL: u64 = 14_000;
+    const LARGE: u64 = 4_000;
+    let m = SgxMachine::new(MachineConfig::scaled(8));
+    let space = DataSpace::Untrusted(Arc::clone(&m));
+    let mut kvs = Kvs::with_engine(space.clone(), space, 4 << 20, 4096, cfg);
+    let e = m.driver.create_enclave(&m, 1 << 20);
+    let mut t = ThreadCtx::for_enclave(&m, &e, 0);
+    t.enter();
+    kvs.init(&mut t);
+    let mut mt = background.then(|| {
+        kvs.set_background(true);
+        let mut mt = ThreadCtx::for_enclave(&m, &e, 1);
+        mt.enter();
+        mt
+    });
+    let mut fence = |kvs: &mut Kvs, t: &mut ThreadCtx| {
+        kvs.fence(t);
+        if let Some(mt) = mt.as_mut() {
+            kvs.maintenance_tick(mt);
+        }
+    };
+    for i in 0..SMALL {
+        kvs.set(
+            &mut t,
+            format!("sm-{i}").as_bytes(),
+            &[(i % 251) as u8; 160],
+        );
+        if (i + 1).is_multiple_of(64) {
+            fence(&mut kvs, &mut t);
+        }
+    }
+    let mut x = 0x5eed_u64;
+    let mut replies = Vec::new();
+    for i in 0..LARGE {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        kvs.set(
+            &mut t,
+            format!("lg-{i}").as_bytes(),
+            &[(i % 251) as u8; 1200],
+        );
+        let key = if x.is_multiple_of(2) {
+            format!("lg-{}", i.saturating_sub(x % 256))
+        } else {
+            format!("sm-{}", x % SMALL)
+        };
+        replies.push(kvs.get(&mut t, key.as_bytes()));
+        if x.is_multiple_of(4) {
+            kvs.delete(&mut t, format!("sm-{}", (x >> 8) % SMALL).as_bytes());
+        }
+        if (i + 1).is_multiple_of(64) {
+            fence(&mut kvs, &mut t);
+        }
+    }
+    for i in 0..LARGE {
+        replies.push(kvs.get(&mut t, format!("lg-{i}").as_bytes()));
+    }
+    let st = m.stats.snapshot();
+    let out = Decisions {
+        evictions: kvs.evictions(),
+        slab_moves: st.slab_moves,
+        seg_merges: st.seg_merges,
+        len: kvs.len(),
+    };
+    if let Some(mut mt) = mt {
+        mt.exit();
+    }
+    t.exit();
+    (replies, out, st.maint_stall_cycles)
+}
+
+/// Placement decides only which core pays for maintenance: the inline
+/// fence and a background tick after every fence make identical
+/// decisions — replies, evictions, slab moves, segment merges and
+/// item count — while only the inline run stalls the serving path.
+#[test]
+fn inline_and_background_placement_make_identical_decisions() {
+    let rebal = EngineConfig::Slab {
+        rebalance: Some(RebalanceConfig::default()),
+    };
+    let seg = EngineConfig::Segment(SegmentConfig::default());
+    for cfg in [rebal, seg] {
+        let (inline_replies, inline, inline_stall) = run_placement(&cfg, false);
+        let (bg_replies, bg, bg_stall) = run_placement(&cfg, true);
+        assert!(inline.evictions > 0, "{}: no memory pressure", cfg.label());
+        assert!(
+            inline.slab_moves + inline.seg_merges > 0,
+            "{}: no maintenance decisions to compare",
+            cfg.label()
+        );
+        assert_eq!(inline, bg, "{}: placements diverged", cfg.label());
+        assert_eq!(inline_replies.len(), bg_replies.len());
+        let first_diff = inline_replies
+            .iter()
+            .zip(&bg_replies)
+            .position(|(a, b)| a != b);
+        assert_eq!(first_diff, None, "{}: replies diverged", cfg.label());
+        assert!(
+            inline_stall > 0,
+            "{}: inline upkeep recorded no stall",
+            cfg.label()
+        );
+        assert_eq!(bg_stall, 0, "{}: background upkeep stalled", cfg.label());
+    }
+}
